@@ -64,11 +64,13 @@ _OFF_WEAK = 60
 _UC_UNIT = 1 << 32
 _RFC_MASK = (1 << 32) - 1
 
+# ``fp_hi`` is the fingerprint's first 8 bytes read big-endian, so
+# ``fp_hi >> (64 - n)`` is every slot's prefix (``fp_prefix``) at once.
 _SCAN_DTYPE = np.dtype({
-    "names": ["counts", "block", "prev", "next", "delete", "weak"],
-    "formats": ["<u8"] * 5 + ["<u4"],
+    "names": ["counts", "block", "prev", "next", "delete", "fp_hi", "weak"],
+    "formats": ["<u8"] * 5 + [">u8", "<u4"],
     "offsets": [_OFF_COUNTS, _OFF_BLOCK, _OFF_PREV, _OFF_NEXT, _OFF_DELETE,
-                _OFF_WEAK],
+                _OFF_FP, _OFF_WEAK],
     "itemsize": ENTRY,
 })
 
@@ -506,12 +508,29 @@ class FACT:
         slot free, which is only true for a freshly-formatted FACT.
         Returns the number of free IAA slots.
         """
-        arr = self._scan()
-        self._iaa_free = [
-            idx for idx in range(self.total - 1, self.daa_size - 1, -1)
-            if arr["block"][idx] == 0
-        ]
+        return self._set_iaa_free(self._scan())
+
+    def _set_iaa_free(self, arr: np.ndarray) -> int:
+        """Free list = empty IAA slots, highest index first (pops lowest)."""
+        free = np.flatnonzero(arr["block"][self.daa_size:] == 0)
+        self._iaa_free = (free[::-1] + self.daa_size).tolist()
         return len(self._iaa_free)
+
+    def _check_ranges(self, arr: np.ndarray) -> None:
+        """Raise :class:`FactCorruption` on a field pointing off the table.
+
+        Links are stored as ``index + 1`` (so ``total`` is their largest
+        legal value) and a block's delete pointer lives in slot *block*,
+        so every later pass may follow any of these fields unchecked.
+        """
+        for name, limit in (("block", self.total - 1), ("prev", self.total),
+                            ("next", self.total)):
+            bad = np.flatnonzero(arr[name] > limit)
+            if bad.size:
+                idx = int(bad[0])
+                raise FactCorruption(
+                    f"slot {idx}: {name} field {int(arr[name][idx])} "
+                    f"points outside the {self.total}-entry table")
 
     def restore_iaa_free(self, occupied) -> int:
         """Restore the IAA free list from a checkpointed occupancy set.
@@ -578,20 +597,31 @@ class FACT:
           their delete pointers;
         * drop delete pointers that no longer match their entry;
         * rebuild the volatile IAA free list.
+
+        Every pass selects the slots that need work with NumPy masks over
+        a charged :meth:`_scan`; Python runs only on those slots (and on
+        the chains that are more than a lone head).  A ``next``, ``prev``
+        or ``block`` field pointing off the table raises
+        :class:`FactCorruption` before anything is written.
         """
         from repro.dedup.reorder import recover_reorder
         report = {"reorders_recovered": 0, "orphans_zeroed": 0,
                   "prevs_fixed": 0, "deletes_cleared": 0}
+        daa = self.daa_size
         arr = self._scan()
+        self._check_ranges(arr)
         # Pass 1: reorder recovery on chains whose commit flag is set.
-        for head in range(self.daa_size):
-            if arr["prev"][head] != 0:
-                recover_reorder(self, head)
-                report["reorders_recovered"] += 1
+        for head in np.flatnonzero(arr["prev"][:daa]).tolist():
+            recover_reorder(self, head)
+            report["reorders_recovered"] += 1
         arr = self._scan()
-        # Pass 2: canonicalize prev links; collect linked IAA slots.
-        linked: set[int] = set()
-        for head in range(self.daa_size):
+        # Pass 2: canonicalize prev links; collect linked IAA slots.  A
+        # lone head (no next, no prev) is already canonical.
+        prv = arr["prev"].tolist()
+        nxt = arr["next"].tolist()
+        linked: list[int] = []
+        for head in np.flatnonzero(arr["next"][:daa]
+                                   | arr["prev"][:daa]).tolist():
             prev_idx = -1
             idx = head
             hops = 0
@@ -599,40 +629,40 @@ class FACT:
                 if hops > self.total:
                     raise FactCorruption(f"post-recovery cycle at {head}")
                 if idx != head:
-                    linked.add(idx)
+                    linked.append(idx)
                 want = 0 if idx == head else prev_idx + 1
-                if int(arr["prev"][idx]) != want:
+                if prv[idx] != want:
                     self._write_u64(idx, _OFF_PREV, want)
                     report["prevs_fixed"] += 1
                 prev_idx = idx
-                idx = int(arr["next"][idx]) - 1
+                idx = nxt[idx] - 1
                 hops += 1
         # Pass 3: orphan IAA slots (valid, never linked).
-        for idx in range(self.daa_size, self.total):
-            if arr["block"][idx] != 0 and idx not in linked:
-                block = int(arr["block"][idx])
-                # Clear the orphan's delete pointer only if it points here.
-                if self._read_u64(block, _OFF_DELETE) == idx + 1:
-                    self.clear_delete(block)
-                    report["deletes_cleared"] += 1
-                self._write_fields(idx, 0, 0, -1, -1, bytes(FP_BYTES))
-                report["orphans_zeroed"] += 1
-        # Pass 4: delete-pointer validation.
-        arr = self._scan()
-        for slot in range(self.total):
-            val = int(arr["delete"][slot])
-            if val == 0:
-                continue
-            tgt = val - 1
-            if (tgt >= self.total or arr["block"][tgt] != slot):
-                self.clear_delete(slot)
+        orphan = arr["block"] != 0
+        orphan[:daa] = False
+        orphan[linked] = False
+        orphans = np.flatnonzero(orphan)
+        for idx, block in zip(orphans.tolist(),
+                              arr["block"][orphans].tolist()):
+            # Clear the orphan's delete pointer only if it points here.
+            if self._read_u64(block, _OFF_DELETE) == idx + 1:
+                self.clear_delete(block)
                 report["deletes_cleared"] += 1
-        # Pass 5: volatile free list.
+            self._write_fields(idx, 0, 0, -1, -1, bytes(FP_BYTES))
+            report["orphans_zeroed"] += 1
+        # Pass 4: delete-pointer validation.  Slot s's pointer is stale
+        # unless it names an in-table entry whose block is s.
         arr = self._scan()
-        self._iaa_free = [
-            idx for idx in range(self.total - 1, self.daa_size - 1, -1)
-            if arr["block"][idx] == 0
-        ]
+        delete = arr["delete"]
+        target = np.clip(delete, 1, self.total) - 1
+        stale = (delete != 0) & (
+            (delete > self.total)
+            | (arr["block"][target] != np.arange(self.total, dtype=np.uint64)))
+        for slot in np.flatnonzero(stale).tolist():
+            self.clear_delete(slot)
+            report["deletes_cleared"] += 1
+        # Pass 5: volatile free list.
+        self._set_iaa_free(self._scan())
         return report
 
     def discard_all_uc(self) -> int:
@@ -656,13 +686,30 @@ class FACT:
     # ------------------------------------------------------------ invariants
 
     def check_chains(self) -> None:
-        """Raise :class:`FactCorruption` on any structural violation."""
+        """Raise :class:`FactCorruption` on any structural violation.
+
+        Chains are walked in head order, but only from heads that can
+        fail or lead anywhere: a reorder flag, a ``next`` link, or a
+        valid entry whose prefix is not the head's own index.
+        """
         arr = np.frombuffer(self.dev.read_silent(self.base,
                                                  self.total * ENTRY),
                             dtype=_SCAN_DTYPE)
+        self._check_ranges(arr)
+        daa = self.daa_size
+        slots = np.arange(self.total, dtype=np.uint64)
+        valid = arr["block"] != 0
+        prefix = arr["fp_hi"] >> np.uint64(64 - self.prefix_bits)
+        misplaced = valid & (prefix != slots)
+        heads = np.flatnonzero(arr["prev"][:daa] | arr["next"][:daa]
+                               | misplaced[:daa]).tolist()
+        block = arr["block"].tolist()
+        prv = arr["prev"].tolist()
+        nxt = arr["next"].tolist()
+        prefix = prefix.tolist()
         linked: set[int] = set()
-        for head in range(self.daa_size):
-            if int(arr["prev"][head]) != 0:
+        for head in heads:
+            if prv[head] != 0:
                 raise FactCorruption(
                     f"head {head}: reorder commit flag left set")
             prev_idx = -1
@@ -672,38 +719,41 @@ class FACT:
                 if hops > self.total:
                     raise FactCorruption(f"cycle in chain {head}")
                 if idx != head:
-                    if idx < self.daa_size:
+                    if idx < daa:
                         raise FactCorruption(
                             f"chain {head} links into the DAA at {idx}")
                     if idx in linked:
                         raise FactCorruption(
                             f"slot {idx} linked from two chains")
                     linked.add(idx)
-                    if arr["block"][idx] == 0:
+                    if block[idx] == 0:
                         raise FactCorruption(
                             f"chain {head} links invalid slot {idx}")
-                    if int(arr["prev"][idx]) != prev_idx + 1:
+                    if prv[idx] != prev_idx + 1:
                         raise FactCorruption(
-                            f"slot {idx}: prev={int(arr['prev'][idx]) - 1} "
+                            f"slot {idx}: prev={prv[idx] - 1} "
                             f"but chain predecessor is {prev_idx}")
-                if arr["block"][idx] != 0:
-                    raw = self.dev.read_silent(self.addr(idx), ENTRY)
-                    fp = raw[_OFF_FP:_OFF_FP + FP_BYTES]
-                    if fp_prefix(fp, self.prefix_bits) != head:
-                        raise FactCorruption(
-                            f"slot {idx} in chain {head} has prefix "
-                            f"{fp_prefix(fp, self.prefix_bits)}")
+                if block[idx] != 0 and prefix[idx] != head:
+                    raise FactCorruption(
+                        f"slot {idx} in chain {head} has prefix "
+                        f"{prefix[idx]}")
                 prev_idx = idx
-                idx = int(arr["next"][idx]) - 1
+                idx = nxt[idx] - 1
                 hops += 1
         # Every valid IAA slot is reachable from exactly one chain.
-        for idx in range(self.daa_size, self.total):
-            if arr["block"][idx] != 0 and idx not in linked:
-                raise FactCorruption(f"valid IAA slot {idx} is unreachable")
+        unreachable = valid.copy()
+        unreachable[:daa] = False
+        unreachable[list(linked)] = False
+        if unreachable.any():
+            raise FactCorruption(
+                f"valid IAA slot {int(np.argmax(unreachable))} "
+                f"is unreachable")
         # Delete pointers of valid entries resolve to themselves.
-        for idx in np.nonzero(arr["block"])[0]:
-            block = int(arr["block"][int(idx)])
-            if int(arr["delete"][block]) != int(idx) + 1:
-                raise FactCorruption(
-                    f"entry {int(idx)} (block {block}): delete pointer "
-                    f"is {int(arr['delete'][block]) - 1}")
+        entries = np.flatnonzero(valid)
+        pointers = arr["delete"][arr["block"][entries]]
+        wrong = np.flatnonzero(pointers != slots[entries] + 1)
+        if wrong.size:
+            idx = int(entries[wrong[0]])
+            raise FactCorruption(
+                f"entry {idx} (block {block[idx]}): delete pointer "
+                f"is {int(pointers[wrong[0]]) - 1}")

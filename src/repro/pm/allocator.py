@@ -16,6 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 __all__ = ["PageAllocator", "AllocError", "Extent"]
 
 
@@ -208,23 +210,14 @@ class PageAllocator:
         """
         alloc = cls.__new__(cls)
         alloc.lo, alloc.hi, alloc.cpus = lo, hi, cpus
-        alloc._lists = [[] for _ in range(cpus)]
         alloc.allocs = alloc.frees = alloc.steals = 0
-        run_start: Optional[int] = None
-        runs: list[Extent] = []
-        for page in range(lo, hi):
-            if not in_use[page]:
-                if run_start is None:
-                    run_start = page
-            elif run_start is not None:
-                runs.append(Extent(run_start, page - run_start))
-                run_start = None
-        if run_start is not None:
-            runs.append(Extent(run_start, hi - run_start))
-        for i, ext in enumerate(runs):
-            alloc._lists[i % cpus].append(ext)
-        for lst in alloc._lists:
-            lst.sort(key=lambda e: e.start)
+        # Run edges are where the padded free mask flips.
+        free = np.zeros(hi - lo + 2, dtype=np.int8)
+        free[1:-1] = ~np.asarray(in_use[lo:hi], dtype=bool)
+        edges = np.flatnonzero(np.diff(free)) + lo
+        runs = [Extent(start, end - start) for start, end
+                in zip(edges[0::2].tolist(), edges[1::2].tolist())]
+        alloc._lists = [runs[cpu::cpus] for cpu in range(cpus)]
         alloc.alloc_log = None
         return alloc
 

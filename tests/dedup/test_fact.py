@@ -271,6 +271,41 @@ class TestCheckChains:
             fact.check_chains()
 
 
+class TestOutOfRangeFields:
+    """A link or block field off the table is corruption, never a crash.
+
+    Recovery and the checker follow these fields into the table, so a
+    bit flip used to surface as ``IndexError`` / ``ValueError``.
+    """
+
+    def test_next_beyond_table_on_daa_slot(self, fact):
+        fact.insert(mkfp(3), 100)
+        fact._write_u64(3, 24, 2 ** 43)  # next
+        with pytest.raises(FactCorruption, match="next field"):
+            fact.structural_recover()
+        with pytest.raises(FactCorruption, match="next field"):
+            fact.check_chains()
+
+    def test_unlinked_iaa_slot_with_block_beyond_table(self, fact):
+        idx = fact._iaa_free.pop()
+        fact._write_fields(idx, 1 << 32, 2 ** 43, 40, -1, mkfp(40))
+        writes = fact.dev.stats.writes
+        with pytest.raises(FactCorruption, match="block field"):
+            fact.structural_recover()
+        assert fact.dev.stats.writes == writes  # nothing repaired first
+        with pytest.raises(FactCorruption, match="block field"):
+            fact.check_chains()
+
+    def test_reorder_flag_beyond_table(self, fact):
+        fact.insert(mkfp(30, 0), 100)
+        fact.insert(mkfp(30, 1), 101)
+        fact._write_u64(30, 16, 2 ** 40)  # head.prev = reorder flag
+        with pytest.raises(FactCorruption, match="prev field"):
+            fact.structural_recover()
+        with pytest.raises(FactCorruption, match="prev field"):
+            fact.check_chains()
+
+
 class TestCrashSafety:
     def test_insert_is_published_by_link(self, fact):
         """Crash between slot write and chain link leaves an orphan the

@@ -1,8 +1,12 @@
 """Unit tests for the per-CPU extent page allocator."""
 
+import hypothesis.strategies as st
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
 
 from repro.pm import AllocError, PageAllocator
+from repro.pm.allocator import Extent
 
 
 class TestBasic:
@@ -127,6 +131,53 @@ class TestBitmapRecovery:
         assert alloc.free_pages == 6
         s = alloc.alloc(6)
         assert s == 4
+
+
+def old_from_bitmap_lists(lo, hi, in_use, cpus):
+    """The per-page loop ``from_bitmap`` replaced (equivalence oracle)."""
+    lists = [[] for _ in range(cpus)]
+    run_start = None
+    runs = []
+    for page in range(lo, hi):
+        if not in_use[page]:
+            if run_start is None:
+                run_start = page
+        elif run_start is not None:
+            runs.append(Extent(run_start, page - run_start))
+            run_start = None
+    if run_start is not None:
+        runs.append(Extent(run_start, hi - run_start))
+    for i, ext in enumerate(runs):
+        lists[i % cpus].append(ext)
+    for lst in lists:
+        lst.sort(key=lambda e: e.start)
+    return lists
+
+
+class TestFromBitmapEquivalence:
+    """The vectorized run finder builds the per-page loop's free lists."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(bits=st.lists(st.booleans(), min_size=1, max_size=80),
+           lo_frac=st.floats(0, 1), short=st.integers(0, 3),
+           cpus=st.integers(1, 4), as_numpy=st.booleans())
+    @example(bits=[False] * 40, lo_frac=0.0, short=0, cpus=3, as_numpy=True)
+    @example(bits=[True] * 40, lo_frac=0.0, short=0, cpus=2, as_numpy=False)
+    @example(bits=[True] * 9 + [False] * 31, lo_frac=0.5, short=0, cpus=4,
+             as_numpy=True)
+    @example(bits=[False, True] * 20, lo_frac=0.1, short=1, cpus=1,
+             as_numpy=False)
+    def test_matches_per_page_loop(self, bits, lo_frac, short, cpus,
+                                   as_numpy):
+        hi = max(len(bits) - short, 1)   # the bitmap may extend past hi
+        lo = min(int(lo_frac * hi), hi - 1)
+        in_use = np.array(bits, dtype=bool) if as_numpy else list(bits)
+        alloc = PageAllocator.from_bitmap(lo, hi, in_use, cpus=cpus)
+        assert alloc.free_extents() == old_from_bitmap_lists(
+            lo, hi, in_use, cpus)
+        assert alloc.free_pages == hi - lo - sum(bits[lo:hi])
+        assert all(type(e.start) is int and type(e.count) is int
+                   for lst in alloc.free_extents() for e in lst)
 
 
 class TestStressInvariant:
