@@ -56,14 +56,8 @@ from repro.backup.stream import (
     read_record_at,
 )
 from repro.dedup.fact import FactFull
-from repro.dedup.reflink import SNAPSHOT_DIR
-from repro.nova.entries import (
-    DEDUPE_COMPLETE,
-    DEDUPE_IN_PROCESS,
-    SetattrEntry,
-    WriteEntry,
-)
-from repro.nova.fs import FSError, FileExists, ino_cpu
+from repro.dedup.reflink import SNAPSHOT_DIR, commit_runs
+from repro.nova.fs import FSError, FileExists, extend_runs, ino_cpu
 from repro.nova.inode import FLAG_IMMUTABLE, ITYPE_DIR, ITYPE_FILE
 from repro.nova.layout import PAGE_SIZE
 
@@ -239,7 +233,8 @@ def _ingest_file(fs, path: str, size: int, pages: list, fh, index,
                  stats: dict) -> int:
     """Materialize one file from ``(pgoff, fp)`` pairs + stream records.
 
-    Mirrors :func:`repro.dedup.reflink.reflink` step for step: the
+    Follows :func:`repro.dedup.reflink.reflink` step for step and
+    shares its commit (:func:`~repro.dedup.reflink.commit_runs`): the
     inode stays an orphan (recovery collects it) until the very last
     dentry append publishes the fully-committed file.
     """
@@ -279,11 +274,7 @@ def _ingest_file(fs, path: str, size: int, pages: list, fh, index,
                     stats["pages_unfingerprinted"] += 1
                 stats["pages_novel"] += 1
                 stats["bytes_ingested"] += len(data)
-            if runs and runs[-1][0] + runs[-1][2] == pgoff \
-                    and runs[-1][1] + runs[-1][2] == block:
-                runs[-1] = (runs[-1][0], runs[-1][1], runs[-1][2] + 1)
-            else:
-                runs.append((pgoff, block, 1))
+            extend_runs(runs, pgoff, block)
     except BaseException:
         # Undo the volatile/PM side effects of the unpublished file so a
         # *handled* error (bad record, ENOSPC) leaves the target exactly
@@ -297,46 +288,7 @@ def _ingest_file(fs, path: str, size: int, pages: list, fh, index,
         del fs.caches[ino]
         raise
 
-    mtime = int(fs.clock.now_ns)
-    appended: list[tuple[int, WriteEntry]] = []
-    if not runs and size:
-        head, first_tail = fs.log.ensure_log(ino, cache.inode.log_head, cpu)
-        if cache.inode.log_head == 0:
-            cache.inode.log_head = head
-            cache.tail = first_tail
-        entry = SetattrEntry(ino=ino, new_size=size, mtime=mtime)
-        _addr, tail = fs.log.append(ino, cache.tail, entry.pack(), cpu)
-        fs.log.commit(ino, tail)
-        cache.tail = tail
-        cache.inode.log_tail = tail
-        cache.entry_count += 1
-    if runs:
-        head, first_tail = fs.log.ensure_log(ino, cache.inode.log_head, cpu)
-        if cache.inode.log_head == 0:
-            cache.inode.log_head = head
-            cache.tail = first_tail
-        tail = cache.tail
-        for pgoff, block, count in runs:
-            we = WriteEntry(file_pgoff=pgoff, num_pages=count, block=block,
-                            size_after=size, ino=ino, mtime=mtime,
-                            dedupe_flag=DEDUPE_IN_PROCESS)
-            addr, tail = fs.log.append(ino, tail, we.pack(), cpu)
-            appended.append((addr, we))
-            fs.note_dedup_pending(addr)
-        fs.log.commit(ino, tail)  # the file's atomic commit
-        cache.tail = tail
-        cache.inode.log_tail = tail
-        cache.entry_count += len(appended)
-    cache.inode.size = size
-    cache.inode.mtime = mtime
-
-    for idx in staged:
-        fs.fact.commit_uc(idx)
-    for addr, we in appended:
-        fs.set_dedupe_flag(addr, DEDUPE_COMPLETE)
-        fs.note_dedup_done(addr)
-        cache.index.install(addr, we)
-
+    commit_runs(fs, ino, cache, runs, size, staged, cpu)
     fs._append_dentry(pino, name, ino, valid=1, cpu=cpu)
     return ino
 

@@ -123,6 +123,16 @@ def _close(fs, image: str, clean: bool = True) -> None:
 
 def cmd_mkfs(args) -> int:
     variant = Variant(args.variant)
+    if variant in (Variant.INLINE, Variant.INLINE_ADAPTIVE):
+        # The superblock has no field for them: the image would mount as
+        # offline DeNova and the inline write path would never run.
+        print(f"mkfs: --variant {variant.value} cannot be recorded in an "
+              f"image (the format only tells NOVA, DeNova and hybrid "
+              f"apart); run inline dedup in process instead — "
+              f"repro.core.make_fs(Variant.{variant.name}) with "
+              f"repro.workloads.run_workload, or the benchmarks/ "
+              f"scripts", file=sys.stderr)
+        return 2
     model = PROFILES[args.profile]
     dev = PMDevice(args.pages * 4096, model=model, clock=SimClock())
     if variant is Variant.HYBRID:

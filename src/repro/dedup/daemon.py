@@ -269,9 +269,10 @@ class DedupDaemon:
         dups = [r for r in task.recs if r.is_dup]
 
         # Step 4: append redirecting write entries for the duplicates.
-        new_entries: list[tuple[int, WriteEntry]] = []
-        if dups:
-            tail = cache.tail
+        # Built lazily: each entry's mtime is read as its append starts.
+        entries: list[WriteEntry] = []
+
+        def redirects():
             for rec in dups:
                 we = WriteEntry(
                     file_pgoff=rec.pgoff, num_pages=1, block=rec.canonical,
@@ -279,20 +280,20 @@ class DedupDaemon:
                     mtime=int(fs.clock.now_ns),
                     dedupe_flag=DEDUPE_IN_PROCESS,
                 )
-                addr, tail = fs.log.append(node.ino, tail, we.pack(), cpu)
-                new_entries.append((addr, we))
-                fs.note_dedup_pending(addr)
-            # Step 5: one atomic tail update commits every new entry.
-            fs.log.commit(node.ino, tail)
-            cache.tail = tail
-            cache.inode.log_tail = tail
-            cache.entry_count += len(new_entries)
+                entries.append(we)
+                yield we
+
+        # Step 5: one atomic tail update commits every new entry.
+        addrs = (fs._append_and_commit(node.ino, cache, redirects(), cpu)
+                 if dups else [])
+        for addr in addrs:
+            fs.note_dedup_pending(addr)
         fs.set_dedupe_flag(node.entry_addr, DEDUPE_IN_PROCESS)
 
         # Step 6: settle the counts — one atomic store per entry-page.
         for rec in task.recs:
             fact.commit_uc(rec.fact_idx)
-        for addr, _we in new_entries:
+        for addr in addrs:
             fs.set_dedupe_flag(addr, DEDUPE_COMPLETE)
             fs.note_dedup_done(addr)
         fs.set_dedupe_flag(node.entry_addr, DEDUPE_COMPLETE)
@@ -300,7 +301,7 @@ class DedupDaemon:
 
         # Radix re-point + reclaim of the now-duplicate pages (they have
         # no FACT entry of their own, so reclaim frees them directly).
-        for rec, (addr, we) in zip(dups, new_entries):
+        for rec, addr, we in zip(dups, addrs, entries):
             displaced = cache.index.redirect(rec.pgoff, addr, we)
             fs._note_dead_entries(cache, displaced)
             fs.reclaim_extents(displaced.extents, cpu)

@@ -24,12 +24,8 @@ from typing import Optional
 
 from repro.dedup.denova import DeNovaFS
 from repro.dedup.fact import FactFull
-from repro.nova.entries import (
-    DEDUPE_COMPLETE,
-    DEDUPE_IN_PROCESS,
-    WriteEntry,
-)
-from repro.nova.fs import NoSpace
+from repro.nova.entries import DEDUPE_IN_PROCESS
+from repro.nova.fs import NoSpace, extend_runs
 from repro.nova.layout import PAGE_SIZE
 from repro.pm.allocator import AllocError
 
@@ -53,11 +49,10 @@ class InlineDedupFS(DeNovaFS):
 
     variant_name = "DeNova-Inline"
 
-    def on_write_committed(self, ino, entry_addr, entry, cpu) -> None:
-        """Inline dedup leaves nothing for a background daemon."""
-
-    def initial_dedupe_flag(self) -> int:  # unused: write() is overridden
-        return DEDUPE_COMPLETE
+    #: An alias, not a second write path: the shared pipeline, bound
+    #: here too so tools that wrap ``InlineDedupFS.write`` by name (the
+    #: perfbench layer tracer) find it on this class.
+    write = DeNovaFS.write
 
     # -- per-page classification (overridden by the adaptive variant) ------
 
@@ -77,66 +72,32 @@ class InlineDedupFS(DeNovaFS):
         except FactFull:
             dec.fact_idx = None  # stored un-deduplicated
 
-    def _commit_meta(self, decisions: list[_Decision]) -> None:
-        for dec in decisions:
-            if dec.fact_idx is not None:
-                self.fact.commit_uc(dec.fact_idx)
+    def _unstage(self, dec: _Decision, cpu: int) -> None:
+        """Undo one page's staged metadata and storage (ENOSPC)."""
+        if dec.fact_idx is not None:
+            self.fact.discard_uc(dec.fact_idx)
+            if not dec.is_dup:
+                self.fact.remove(dec.fact_idx)
+        if not dec.is_dup:
+            self.allocator.free(dec.new_block, 1, cpu)
 
-    # -- the inline write path ---------------------------------------------------
+    # -- the inline placement -----------------------------------------------
 
-    def write(self, ino: int, offset: int, data: bytes, cpu: int = 0) -> int:
-        """CoW write with the dedup pipeline inlined before storage.
+    def place(self, cache, offset: int, data: bytes, cpu: int):
+        """Classify every page before storing it — the inline property.
 
-        Duplicate pages are never written — their write entries point at
-        the existing canonical pages; unique pages are batched into
-        contiguous runs.  One atomic tail update commits the whole write.
+        Duplicate pages are never written: each gets a one-page run on
+        its canonical page.  Uniques are stored and registered at once,
+        so a later identical page of the same write hits them
+        (intra-write duplicates dedup too), and coalesce into runs.  On
+        ENOSPC nothing is published yet; every page's staged metadata,
+        DRAM included, is undone before ``NoSpace`` propagates.
         """
-        self._check_mounted()
-        if offset < 0:
-            raise ValueError("negative offset")
-        if not data:
-            return 0
-        if self._stage_or_drain(ino, offset, data, cpu):
-            # Absorbed: fingerprinting runs when the record destages
-            # through this same path — "inline" relative to the destage,
-            # off the caller's critical path.
-            return len(data)
-        with self.obs.span("fs.write", ino=ino):
-            return self._inline_write(ino, offset, data, cpu)
-
-    def _inline_write(self, ino: int, offset: int, data: bytes,
-                      cpu: int) -> int:
-        self.clock.advance(self.cpu_model.syscall_ns)
-        cache = self._file_cache(ino, for_write=True)
-        self.counters["writes"] += 1
-
+        buf = self._merge(cache, offset, data)
         pg_first = offset // PAGE_SIZE
-        pg_last = (offset + len(data) - 1) // PAGE_SIZE
-        npages = pg_last - pg_first + 1
-
-        # Tenant quota: logical pages, so the gross check covers the
-        # whole write even when every page deduplicates — dedup savings
-        # accrue to the operator, never to the tenant's quota.
-        self.tenants.check_pages(ino, npages)
-
-        # Assemble final page contents (head/tail merge), then classify
-        # each page before anything is stored — the inline property.
-        buf = bytearray(npages * PAGE_SIZE)
-        head_pad = offset - pg_first * PAGE_SIZE
-        if head_pad:
-            buf[:head_pad] = self._read_page(cache, pg_first)[:head_pad]
-        tail_end = offset + len(data) - pg_first * PAGE_SIZE
-        if tail_end % PAGE_SIZE and offset + len(data) < cache.inode.size:
-            buf[tail_end:] = self._read_page(cache, pg_last)[
-                tail_end % PAGE_SIZE:]
-        buf[head_pad:tail_end] = data
-
-        # Sequential per-page pass: classify, and store+register uniques
-        # immediately so a later identical page in the same write hits
-        # the just-inserted metadata (intra-write duplicates dedup too).
         decisions: list[_Decision] = []
         try:
-            for i in range(npages):
+            for i in range(len(buf) // PAGE_SIZE):
                 content = bytes(buf[i * PAGE_SIZE:(i + 1) * PAGE_SIZE])
                 dec = self._classify(pg_first + i, content)
                 if not dec.is_dup:
@@ -146,72 +107,17 @@ class InlineDedupFS(DeNovaFS):
                     self._register_unique(dec)
                 decisions.append(dec)
         except AllocError as exc:
-            # Roll back: nothing was published (no tail update yet).
             for dec in decisions:
-                if dec.is_dup and dec.fact_idx is not None:
-                    self.fact.discard_uc(dec.fact_idx)
-                elif dec.new_block is not None:
-                    if dec.fact_idx is not None:
-                        self.fact.discard_uc(dec.fact_idx)
-                        self.fact.remove(dec.fact_idx)
-                    self.allocator.free(dec.new_block, 1, cpu)
+                self._unstage(dec, cpu)
             raise NoSpace(str(exc)) from None
-
-        # Build write entries: consecutive uniques (in file order *and*
-        # device order) coalesce; each duplicate is a single-page entry.
-        new_size = max(cache.inode.size, offset + len(data))
-        mtime = int(self.clock.now_ns)
-        entries: list[WriteEntry] = []
+        runs: list[tuple[int, int, int]] = []
         for dec in decisions:
             if dec.is_dup:
-                entries.append(WriteEntry(
-                    file_pgoff=dec.pgoff, num_pages=1, block=dec.canonical,
-                    size_after=new_size, ino=ino, mtime=mtime,
-                    dedupe_flag=DEDUPE_IN_PROCESS))
+                runs.append((dec.pgoff, dec.canonical, 1))
             else:
-                last = entries[-1] if entries else None
-                if (last is not None
-                        and last.file_pgoff + last.num_pages == dec.pgoff
-                        and last.block + last.num_pages == dec.new_block):
-                    last.num_pages += 1
-                else:
-                    entries.append(WriteEntry(
-                        file_pgoff=dec.pgoff, num_pages=1,
-                        block=dec.new_block, size_after=new_size, ino=ino,
-                        mtime=mtime, dedupe_flag=DEDUPE_IN_PROCESS))
-
-        head, first_tail = self.log.ensure_log(ino, cache.inode.log_head, cpu)
-        if cache.inode.log_head == 0:
-            cache.inode.log_head = head
-            cache.tail = first_tail
-        tail = cache.tail
-        appended: list[tuple[int, WriteEntry]] = []
-        for we in entries:
-            addr, tail = self.log.append(ino, tail, we.pack(), cpu)
-            appended.append((addr, we))
-        self.log.commit(ino, tail)  # the single atomic commit point
-        cache.tail = tail
-        cache.inode.log_tail = tail
-        cache.entry_count += len(appended)
-        cache.inode.size = new_size
-        cache.inode.mtime = mtime
-
-        # Settle metadata counts, then mark the entries complete.
-        self._commit_meta(decisions)
-        for addr, _we in appended:
-            self.set_dedupe_flag(addr, DEDUPE_COMPLETE)
-
-        # Radix update + RFC-checked reclaim of displaced pages.
-        net_mapped = 0
-        for addr, we in appended:
-            displaced = cache.index.install(addr, we)
-            net_mapped += we.num_pages - displaced.total_pages
-            if displaced.total_pages:
-                self.counters["overwrite_pages"] += displaced.total_pages
-            self._note_dead_entries(cache, displaced)
-            self.reclaim_extents(displaced.extents, cpu)
-        self.tenants.account_pages(ino, net_mapped)
-        return len(data)
+                extend_runs(runs, dec.pgoff, dec.new_block)
+        return runs, DEDUPE_IN_PROCESS, [dec.fact_idx for dec in decisions
+                                         if dec.fact_idx is not None]
 
 
 @dataclass
@@ -281,8 +187,29 @@ class AdaptiveInlineFS(InlineDedupFS):
         self._by_block[dec.new_block] = rec
         self._meta_write_cost()
 
-    def _commit_meta(self, decisions: list[_Decision]) -> None:
-        """Counts were settled eagerly in the DRAM table."""
+    def _drop_record(self, rec: _MetaRec) -> None:
+        self._weak_index[rec.weak].remove(rec)
+        if not self._weak_index[rec.weak]:
+            del self._weak_index[rec.weak]
+        del self._by_block[rec.block]
+
+    def _unstage(self, dec: _Decision, cpu: int) -> None:
+        """Undo one page's eager DRAM-table update and storage (ENOSPC).
+
+        Decisions unwind in write order, so a record this write
+        registered is dropped whole before any later page of the write
+        that deduplicated onto it — that page then finds no record.
+        """
+        rec = self._by_block.get(dec.canonical if dec.is_dup
+                                 else dec.new_block)
+        if rec is not None:
+            if dec.is_dup:
+                rec.rfc -= 1
+            else:
+                self._drop_record(rec)
+            self._meta_write_cost()
+        if not dec.is_dup:
+            self.allocator.free(dec.new_block, 1, cpu)
 
     def reclaim_extents(self, extents, cpu: int) -> None:
         """Reclaim against the DRAM metadata table instead of FACT."""
@@ -296,10 +223,7 @@ class AdaptiveInlineFS(InlineDedupFS):
                 rec.rfc -= 1
                 self._meta_write_cost()
                 if rec.rfc <= 0:
-                    self._weak_index[rec.weak].remove(rec)
-                    if not self._weak_index[rec.weak]:
-                        del self._weak_index[rec.weak]
-                    del self._by_block[page]
+                    self._drop_record(rec)
                     self.allocator.free(page, 1, cpu)
                     self.counters["pages_reclaimed"] += 1
                 else:

@@ -28,14 +28,21 @@ from repro.dedup.fact import FactFull
 from repro.nova.entries import (
     DEDUPE_COMPLETE,
     DEDUPE_IN_PROCESS,
+    SetattrEntry,
     WriteEntry,
 )
-from repro.nova.fs import FileExists, FileNotFound, FSError, IsADirectory
+from repro.nova.fs import (
+    FileExists,
+    FileNotFound,
+    FSError,
+    IsADirectory,
+    extend_runs,
+)
 from repro.nova.inode import FLAG_IMMUTABLE, ITYPE_DIR, ITYPE_FILE
 from repro.nova.layout import PAGE_SIZE
 
-__all__ = ["reflink", "snapshot", "delete_snapshot", "list_snapshots",
-           "SNAPSHOT_DIR"]
+__all__ = ["reflink", "commit_runs", "snapshot", "delete_snapshot",
+           "list_snapshots", "SNAPSHOT_DIR"]
 
 SNAPSHOT_DIR = "/.snapshots"
 
@@ -101,11 +108,7 @@ def reflink(fs, src: str, dst: str, immutable: bool = False) -> int:
         else:
             fs.fact.inc_uc(ent.idx)
             staged.append(ent.idx)
-        if runs and runs[-1][0] + runs[-1][2] == pgoff \
-                and runs[-1][1] + runs[-1][2] == block:
-            runs[-1] = (runs[-1][0], runs[-1][1], runs[-1][2] + 1)
-        else:
-            runs.append((pgoff, block, 1))
+        extend_runs(runs, pgoff, block)
 
     # Unpublished destination inode (orphan until the dentry lands).
     # ``parent=dpino`` inherits the destination tenant's ownership, so
@@ -117,62 +120,52 @@ def reflink(fs, src: str, dst: str, immutable: bool = False) -> int:
         dst_cache.inode.flags |= FLAG_IMMUTABLE
         fs.itable.write(dst_ino, dst_cache.inode)
 
-    mtime = int(fs.clock.now_ns)
-    appended: list[tuple[int, WriteEntry]] = []
-    if not runs and src_cache.inode.size:
-        # Fully sparse source: no pages to share, but the size must be
-        # durable — a setattr entry is the only record of it.
-        from repro.nova.entries import SetattrEntry
-
-        head, first_tail = fs.log.ensure_log(dst_ino,
-                                             dst_cache.inode.log_head, cpu)
-        if dst_cache.inode.log_head == 0:
-            dst_cache.inode.log_head = head
-            dst_cache.tail = first_tail
-        entry = SetattrEntry(ino=dst_ino, new_size=src_cache.inode.size,
-                             mtime=mtime)
-        _addr, tail = fs.log.append(dst_ino, dst_cache.tail, entry.pack(),
-                                    cpu)
-        fs.log.commit(dst_ino, tail)
-        dst_cache.tail = tail
-        dst_cache.inode.log_tail = tail
-        dst_cache.entry_count += 1
-    if runs:
-        head, first_tail = fs.log.ensure_log(dst_ino,
-                                             dst_cache.inode.log_head, cpu)
-        if dst_cache.inode.log_head == 0:
-            dst_cache.inode.log_head = head
-            dst_cache.tail = first_tail
-        tail = dst_cache.tail
-        for pgoff, block, count in runs:
-            we = WriteEntry(file_pgoff=pgoff, num_pages=count, block=block,
-                            size_after=src_cache.inode.size, ino=dst_ino,
-                            mtime=mtime, dedupe_flag=DEDUPE_IN_PROCESS)
-            addr, tail = fs.log.append(dst_ino, tail, we.pack(), cpu)
-            appended.append((addr, we))
-            fs.note_dedup_pending(addr)
-        fs.log.commit(dst_ino, tail)  # the atomic commit of the copy
-        dst_cache.tail = tail
-        dst_cache.inode.log_tail = tail
-        dst_cache.entry_count += len(appended)
-    dst_cache.inode.size = src_cache.inode.size
-    dst_cache.inode.mtime = mtime
-
-    # Settle the counts, complete the flags, build the DRAM index.
-    for idx in staged:
-        fs.fact.commit_uc(idx)
-    for addr, we in appended:
-        fs.set_dedupe_flag(addr, DEDUPE_COMPLETE)
-        fs.note_dedup_done(addr)
-        dst_cache.index.install(addr, we)
-    # Net charge after the radix install (check, act, account): a fresh
-    # file displaces nothing, so the net is one page per mapping — the
-    # same figure the mount-time rebuild counts from the index.
-    fs.tenants.account_pages(dst_ino, n_mappings)
+    commit_runs(fs, dst_ino, dst_cache, runs, src_cache.inode.size, staged,
+                cpu)
 
     # Publish.
     fs._append_dentry(dpino, dname, dst_ino, valid=1, cpu=cpu)
     return dst_ino
+
+
+def commit_runs(fs, ino: int, cache, runs: list[tuple[int, int, int]],
+                size: int, staged: list[int], cpu: int) -> None:
+    """Commit the content of a new, still unpublished file.
+
+    ``runs`` are ``(pgoff, block, pages)`` mappings onto pages whose
+    references sit staged as UCs on the FACT entries in ``staged``.
+    Algorithm 1's discipline: ``in_process`` write entries (a fully
+    sparse file gets one setattr instead — the only record of its size)
+    → one atomic tail commit → commit the staged UCs → mark the entries
+    ``dedupe_complete`` → install them in the radix index → charge the
+    owning tenant, if any.
+    """
+    mtime = int(fs.clock.now_ns)
+    entries = [WriteEntry(file_pgoff=pgoff, num_pages=count, block=block,
+                          size_after=size, ino=ino, mtime=mtime,
+                          dedupe_flag=DEDUPE_IN_PROCESS)
+               for pgoff, block, count in runs]
+    addrs: list[int] = []
+    if entries:
+        addrs = fs._append_and_commit(ino, cache, entries, cpu)
+        for addr in addrs:
+            fs.note_dedup_pending(addr)
+    elif size:
+        fs._append_and_commit(ino, cache, [SetattrEntry(
+            ino=ino, new_size=size, mtime=mtime)], cpu)
+    cache.inode.size = size
+    cache.inode.mtime = mtime
+
+    for idx in staged:
+        fs.fact.commit_uc(idx)
+    for addr, we in zip(addrs, entries):
+        fs.set_dedupe_flag(addr, DEDUPE_COMPLETE)
+        fs.note_dedup_done(addr)
+        cache.index.install(addr, we)
+    # Net charge after the radix install (check, act, account): a fresh
+    # file displaces nothing, so the net is one page per mapping — the
+    # same figure the mount-time rebuild counts from the index.
+    fs.tenants.account_pages(ino, sum(we.num_pages for we in entries))
 
 
 def _ensure_snapshot_root(fs) -> None:

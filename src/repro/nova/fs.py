@@ -11,10 +11,15 @@ Implements the full write flow of the paper's Fig. 1:
 4. update the DRAM radix tree;
 5. reclaim the obsolete data pages through the per-CPU free list.
 
-Step 5 goes through the overridable :meth:`NovaFS.reclaim_extents` hook —
-DeNova replaces it with the reference-count-checked reclaim of §IV-D3.
-Step 3 is followed by the :meth:`NovaFS.on_write_committed` hook, where
-DeNova enqueues the DWQ node.
+Every variant runs this one pipeline; they differ only in
+:meth:`NovaFS.place`, which stores the pages (step 1) and says which
+runs to log — one contiguous extent here, classified and deduplicated
+pages on the inline variants.  Step 5 goes through the overridable
+:meth:`NovaFS.reclaim_extents` hook — DeNova replaces it with the
+reference-count-checked reclaim of §IV-D3.  Step 3 is followed by the
+:meth:`NovaFS.on_write_committed` hook, where DeNova enqueues the DWQ
+node.  Every log append in the system, writes and namespace ops alike,
+commits through :meth:`NovaFS._append_and_commit`.
 
 Namespace operations (create/unlink/mkdir/rmdir) are ordered so that a
 crash between their two inode updates leaves an *orphan* (a valid inode
@@ -26,11 +31,12 @@ simplification relative to kernel NOVA's per-CPU journal.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Optional, Sequence
 
 from repro.nova.entries import (
     DEDUPE_COMPLETE,
     DEDUPE_FLAG_OFFSET,
+    DEDUPE_IN_PROCESS,
     DEDUPE_NEEDED,
     ENTRY_SIZE,
     DentryEntry,
@@ -56,7 +62,7 @@ from repro.pm.device import PMDevice
 
 __all__ = ["NovaFS", "FSError", "FileNotFound", "FileExists", "NoSpace",
            "NotADirectory", "IsADirectory", "DirectoryNotEmpty", "Stat",
-           "InodeCache"]
+           "InodeCache", "extend_runs"]
 
 
 class FSError(Exception):
@@ -98,6 +104,17 @@ class Stat:
     size: int
     mtime: int
     links: int
+
+
+def extend_runs(runs: list[tuple[int, int, int]], pgoff: int,
+                block: int) -> None:
+    """Map file page ``pgoff`` to ``block``: grow the last run when the
+    page follows it in both file and device order, else start a run."""
+    if runs and runs[-1][0] + runs[-1][2] == pgoff \
+            and runs[-1][1] + runs[-1][2] == block:
+        runs[-1] = (runs[-1][0], runs[-1][1], runs[-1][2] + 1)
+    else:
+        runs.append((pgoff, block, 1))
 
 
 @dataclass
@@ -442,7 +459,7 @@ class NovaFS:
         cache = self.caches[ino]
         entry = SymlinkEntry(target=target, ino=ino,
                              mtime=int(self.clock.now_ns))
-        self._append_and_commit(ino, cache, entry.pack(), cpu)
+        self._append_and_commit(ino, cache, [entry], cpu)
         cache.symlink_target = target
         self._append_dentry(pino, name, ino, valid=1, cpu=cpu)
         return ino
@@ -471,7 +488,7 @@ class NovaFS:
         parent = self.caches[parent_ino]
         entry = DentryEntry(name=name, ino=ino, valid=valid,
                             mtime=int(self.clock.now_ns))
-        self._append_and_commit(parent_ino, parent, entry.pack(), cpu)
+        self._append_and_commit(parent_ino, parent, [entry], cpu)
         self.clock.advance(self.cpu_model.dram_touch_ns)
         if valid:
             changed = parent.dentries.get(name) != ino
@@ -486,18 +503,31 @@ class NovaFS:
                 and child.inode.itype == ITYPE_DIR):
             parent.inode.links += 1 if valid else -1
 
-    def _append_and_commit(self, ino: int, cache: InodeCache, raw: bytes,
-                           cpu: int) -> int:
+    def _append_and_commit(self, ino: int, cache: InodeCache,
+                           entries: Iterable, cpu: int) -> list[int]:
+        """Append log entries to ``ino``'s log and commit them at once.
+
+        The one log-commit primitive: make sure the log exists, append
+        and persist every entry (anything with a 64 B ``pack()``), then
+        one atomic tail update (Fig. 1 step 3) publishes them all; the
+        DRAM cache follows.  ``entries`` is consumed one entry per
+        append, so a generator may build each entry after the previous
+        one is durable.  Returns the entries' addresses, in order.
+        """
         head, first_tail = self.log.ensure_log(ino, cache.inode.log_head, cpu)
         if cache.inode.log_head == 0:
             cache.inode.log_head = head
             cache.tail = first_tail
-        addr, new_tail = self.log.append(ino, cache.tail, raw, cpu)
-        self.log.commit(ino, new_tail)
-        cache.tail = new_tail
-        cache.inode.log_tail = new_tail
-        cache.entry_count += 1
-        return addr
+        tail = cache.tail
+        addrs: list[int] = []
+        for entry in entries:
+            addr, tail = self.log.append(ino, tail, entry.pack(), cpu)
+            addrs.append(addr)
+        self.log.commit(ino, tail)
+        cache.tail = tail
+        cache.inode.log_tail = tail
+        cache.entry_count += len(addrs)
+        return addrs
 
     def _new_inode(self, itype: int, cpu: int,
                    parent: Optional[int] = None) -> int:
@@ -734,21 +764,9 @@ class NovaFS:
         if spino == dpino:
             # One directory log: two appends, one atomic tail commit.
             parent = self.caches[spino]
-            head, first_tail = self.log.ensure_log(
-                spino, parent.inode.log_head, cpu)
-            if parent.inode.log_head == 0:
-                parent.inode.log_head = head
-                parent.tail = first_tail
-            tail = parent.tail
-            for entry in (DentryEntry(name=dname, ino=ino, valid=1,
-                                      mtime=mtime),
-                          DentryEntry(name=sname, ino=ino, valid=0,
-                                      mtime=mtime)):
-                _addr, tail = self.log.append(spino, tail, entry.pack(), cpu)
-            self.log.commit(spino, tail)
-            parent.tail = tail
-            parent.inode.log_tail = tail
-            parent.entry_count += 2
+            self._append_and_commit(spino, parent, [
+                DentryEntry(name=dname, ino=ino, valid=1, mtime=mtime),
+                DentryEntry(name=sname, ino=ino, valid=0, mtime=mtime)], cpu)
             self.clock.advance(2 * self.cpu_model.dram_touch_ns)
             parent.dentries[dname] = ino
             parent.dentries.pop(sname, None)
@@ -838,20 +856,22 @@ class NovaFS:
 
     def write(self, ino: int, offset: int, data: bytes,
               cpu: int = 0) -> int:
-        """CoW write (Fig. 1).  Returns the number of bytes written."""
+        """CoW write (Fig. 1), every variant.  Returns bytes written."""
         self._check_mounted()
         if offset < 0:
             raise ValueError("negative offset")
         if not data:
             return 0
         if self._stage_or_drain(ino, offset, data, cpu):
+            # Absorbed.  On the inline variants fingerprinting runs when
+            # the record destages through this same pipeline — "inline"
+            # relative to the destage, off the caller's critical path.
             return len(data)
         t0 = self.clock.charged_ns
         with self.obs.span("fs.write", ino=ino,
-                           pages=(offset + len(data) - 1) // PAGE_SIZE
-                           - offset // PAGE_SIZE + 1):
-            displaced = self._write_locked(ino, offset, data, cpu)
-        if displaced.total_pages:
+                           pages=_page_span(offset, len(data))[1]):
+            displaced_pages = self._write_locked(ino, offset, data, cpu)
+        if displaced_pages:
             self._h_overwrite.observe(self.clock.charged_ns - t0)
         return len(data)
 
@@ -876,70 +896,101 @@ class NovaFS:
         return False
 
     def _write_locked(self, ino: int, offset: int, data: bytes,
-                      cpu: int) -> Displaced:
+                      cpu: int) -> int:
+        """The write pipeline; returns the number of displaced pages."""
         self.clock.advance(self.cpu_model.syscall_ns)
         cache = self._file_cache(ino, for_write=True)
         self.counters["writes"] += 1
 
-        pg_first = offset // PAGE_SIZE
-        pg_last = (offset + len(data) - 1) // PAGE_SIZE
-        npages = pg_last - pg_first + 1
+        # The quota check precedes any allocation (check, act, then
+        # account — a failed alloc must not leak a tenant charge) and is
+        # gross: logical pages, so it covers the whole write even when
+        # every page deduplicates, and CoW needs the full allocation
+        # before the displaced pages are known.
+        self.tenants.check_pages(ino, _page_span(offset, len(data))[1])
 
-        # Step 1: allocate new pages; assemble their content.  The quota
-        # check precedes the allocation (check, act, then account — a
-        # failed alloc must not leak a tenant charge) and is gross: CoW
-        # needs the full allocation to exist before the displaced pages
-        # are known.
-        self.tenants.check_pages(ino, npages)
+        # Step 1: store the pages (the variant's placement).
+        runs, flag, staged = self.place(cache, offset, data, cpu)
+
+        # Step 2: append the write entries (data + entry fence together).
+        new_size = max(cache.inode.size, offset + len(data))
+        mtime = int(self.clock.now_ns)
+        entries = [WriteEntry(file_pgoff=pgoff, num_pages=count, block=block,
+                              size_after=new_size, ino=ino, mtime=mtime,
+                              dedupe_flag=flag)
+                   for pgoff, block, count in runs]
+
+        # Step 3: one atomic tail update — the commit point.
+        addrs = self._append_and_commit(ino, cache, entries, cpu)
+        cache.inode.size = new_size
+        cache.inode.mtime = mtime
+
+        # Settle: staged counts become references, then in_process
+        # entries complete (the UC/RFC protocol of §V-C).
+        for idx in staged:
+            self.fact.commit_uc(idx)
+        if flag == DEDUPE_IN_PROCESS:
+            for addr in addrs:
+                self.set_dedupe_flag(addr, DEDUPE_COMPLETE)
+
+        # Steps 4-5: radix update, then reclaim of the obsolete pages
+        # (RFC-aware in DeNova).
+        displaced_pages = net_mapped = 0
+        for addr, we in zip(addrs, entries):
+            displaced = cache.index.install(addr, we)
+            pages = displaced.total_pages
+            displaced_pages += pages
+            net_mapped += we.num_pages - pages
+            if pages:
+                self.counters["overwrite_pages"] += pages
+            self._note_dead_entries(cache, displaced)
+            self.reclaim_extents(displaced.extents, cpu)
+        self.tenants.account_pages(ino, net_mapped)
+
+        if flag == DEDUPE_NEEDED:
+            for addr, we in zip(addrs, entries):
+                self.on_write_committed(ino, addr, we, cpu)
+        return displaced_pages
+
+    def place(self, cache: InodeCache, offset: int, data: bytes, cpu: int
+              ) -> tuple[list[tuple[int, int, int]], int, Sequence[int]]:
+        """Store a write's pages (the only per-variant write hook).
+
+        Returns ``(runs, flag, staged)``: the ``(file_pgoff, block,
+        pages)`` runs to log, in log order; the dedupe flag their
+        entries commit with; and the FACT entries holding a staged UC,
+        committed right after the tail.  Nothing may be published here
+        — the pipeline's tail commit does that.
+
+        Direct CoW: one contiguous extent, allocated *before* the
+        head/tail merge reads (an ENOSPC charges nothing more), filled
+        with one non-temporal write.
+        """
+        pg_first, npages = _page_span(offset, len(data))
         try:
             block = self.allocator.alloc(npages, cpu)
         except AllocError as exc:
             raise NoSpace(str(exc)) from None
-        buf = bytearray(npages * PAGE_SIZE)
-        head_pad = offset - pg_first * PAGE_SIZE
-        if head_pad:
-            old = self._read_page(cache, pg_first)
-            buf[:head_pad] = old[:head_pad]
-        tail_end = offset + len(data) - pg_first * PAGE_SIZE
-        if tail_end % PAGE_SIZE and offset + len(data) < cache.inode.size:
-            old = self._read_page(cache, pg_last)
-            buf[tail_end:] = old[tail_end % PAGE_SIZE:]
-        buf[head_pad:tail_end] = data
+        buf = self._merge(cache, offset, data)
         self.dev.write(block * PAGE_SIZE, bytes(buf), nt=True)
+        return [(pg_first, block, npages)], self.initial_dedupe_flag(), ()
 
-        # Step 2: append the write entry (data + entry fence together).
-        new_size = max(cache.inode.size, offset + len(data))
-        entry = WriteEntry(
-            file_pgoff=pg_first, num_pages=npages, block=block,
-            size_after=new_size, ino=ino, mtime=int(self.clock.now_ns),
-            dedupe_flag=self.initial_dedupe_flag(),
-        )
-        head, first_tail = self.log.ensure_log(ino, cache.inode.log_head, cpu)
-        if cache.inode.log_head == 0:
-            cache.inode.log_head = head
-            cache.tail = first_tail
-        addr, new_tail = self.log.append(ino, cache.tail, entry.pack(), cpu)
-
-        # Step 3: atomic tail update — the commit point.
-        self.log.commit(ino, new_tail)
-        cache.tail = new_tail
-        cache.inode.log_tail = new_tail
-        cache.entry_count += 1
-        cache.inode.size = new_size
-        cache.inode.mtime = entry.mtime
-
-        # Step 4: radix tree update.
-        displaced = cache.index.install(addr, entry)
-        self.tenants.account_pages(ino, npages - displaced.total_pages)
-        if displaced.total_pages:
-            self.counters["overwrite_pages"] += displaced.total_pages
-        self._note_dead_entries(cache, displaced)
-
-        # Step 5: reclaim obsolete pages (RFC-aware in DeNova).
-        self.reclaim_extents(displaced.extents, cpu)
-
-        self.on_write_committed(ino, addr, entry, cpu)
-        return displaced
+    def _merge(self, cache: InodeCache, offset: int,
+               data: bytes) -> bytearray:
+        """The write's final page contents: ``data`` plus the bytes of
+        its first and last pages that it does not cover."""
+        pg_first = offset // PAGE_SIZE
+        head_pad = offset - pg_first * PAGE_SIZE
+        tail_end = head_pad + len(data)
+        buf = bytearray(-(-tail_end // PAGE_SIZE) * PAGE_SIZE)
+        if head_pad:
+            buf[:head_pad] = self._read_page(cache, pg_first)[:head_pad]
+        if tail_end % PAGE_SIZE and offset + len(data) < cache.inode.size:
+            pg_last = pg_first + len(buf) // PAGE_SIZE - 1
+            buf[tail_end:] = self._read_page(cache, pg_last)[
+                tail_end % PAGE_SIZE:]
+        buf[head_pad:tail_end] = data
+        return buf
 
     def read(self, ino: int, offset: int, length: int, cpu: int = 0) -> bytes:
         """Read up to ``length`` bytes (short at EOF; holes read as zeros)."""
@@ -988,7 +1039,7 @@ class NovaFS:
         cache = self._file_cache(ino, for_write=True)
         entry = SetattrEntry(ino=ino, new_size=size,
                              mtime=int(self.clock.now_ns))
-        self._append_and_commit(ino, cache, entry.pack(), cpu)
+        self._append_and_commit(ino, cache, [entry], cpu)
         shrunk = size < cache.inode.size
         if shrunk:
             keep = (size + PAGE_SIZE - 1) // PAGE_SIZE
@@ -1219,7 +1270,8 @@ class NovaFS:
 
     def on_write_committed(self, ino: int, entry_addr: int,
                            entry: WriteEntry, cpu: int) -> None:
-        """Called after the tail update.  DeNova enqueues the DWQ node."""
+        """Called after the tail update for each entry committed
+        ``dedupe_needed``.  DeNova enqueues the DWQ node."""
 
     def log_page_gc_allowed(self, page: int) -> bool:
         """DeNova vetoes GC of pages holding entries still awaiting dedup."""
@@ -1236,6 +1288,12 @@ class NovaFS:
         op surface — DeNova rolls back interrupted backup-ingest
         staging here.
         """
+
+
+def _page_span(offset: int, length: int) -> tuple[int, int]:
+    """``(first page, page count)`` of a ``length``-byte write (>= 1)."""
+    pg_first = offset // PAGE_SIZE
+    return pg_first, (offset + length - 1) // PAGE_SIZE - pg_first + 1
 
 
 def ino_cpu(ino: int, cpus: int) -> int:

@@ -125,12 +125,8 @@ def _redirect_ref(fs, ino: int, pgoff: int, new_block: int) -> None:
         size_after=cache.inode.size, ino=ino,
         mtime=int(fs.clock.now_ns), dedupe_flag=DEDUPE_IN_PROCESS,
     )
-    addr, tail = fs.log.append(ino, cache.tail, we.pack(), cpu)
+    [addr] = fs._append_and_commit(ino, cache, [we], cpu)
     fs.note_dedup_pending(addr)
-    fs.log.commit(ino, tail)
-    cache.tail = tail
-    cache.inode.log_tail = tail
-    cache.entry_count += 1
     fs.set_dedupe_flag(addr, DEDUPE_COMPLETE)
     fs.note_dedup_done(addr)
     displaced = cache.index.redirect(pgoff, addr, we)

@@ -25,6 +25,19 @@ class TestLifecycle:
                      "--pages", "1024", "--inodes", "64"]) == 0
         assert main(["dedup", img]) == 1  # no dedup layer
 
+    @pytest.mark.parametrize("variant", ["denova-inline",
+                                         "denova-inline-adaptive"])
+    def test_mkfs_rejects_inline_variants(self, tmp_path, capsys, variant):
+        """The image format cannot record an inline variant; formatting
+        one would silently mount as offline DeNova."""
+        img = tmp_path / "inline.img"
+        assert main(["mkfs", str(img), "--variant", variant,
+                     "--pages", "1024", "--inodes", "64"]) == 2
+        err = capsys.readouterr().err
+        assert "cannot be recorded in an image" in err
+        assert "run_workload" in err
+        assert not img.exists()
+
     def test_mkfs_profile(self, tmp_path):
         img = str(tmp_path / "pcm.img")
         assert main(["mkfs", img, "--profile", "PCM",

@@ -100,6 +100,19 @@ class TestInlineCorrectness:
         assert fs.read(a, 0, PAGE_SIZE) == page_of(1)
         check_fs_invariants(fs)
 
+    def test_overwrite_is_observed_like_a_direct_write(self):
+        """One pipeline for every variant: an inline overwrite records an
+        overwrite-latency sample and its span carries the page count."""
+        fs = make_fs()
+        a = fs.create("/a")
+        fs.write(a, 0, page_of(1) * 2)
+        hist = fs.obs.registry.get("fs.overwrite_latency_ns")
+        assert hist.count == 0
+        fs.write(a, 0, page_of(2) * 2)
+        assert hist.count == 1
+        span = [e for e in fs.obs.tracer.events if e.name == "fs.write"][-1]
+        assert dict(span.attrs) == {"ino": a, "pages": 2}
+
     def test_crash_recovery_of_inline_write(self):
         """Inline transactions reuse the UC/in_process machinery, so the
         §V-C recovery applies to them too."""
@@ -170,6 +183,48 @@ class TestAdaptive:
         assert fs.read(b, 0, PAGE_SIZE) == page_of(1)
         fs.unlink("/b")
         assert not fs._by_block
+
+    def test_enospc_rollback_undoes_dram_metadata(self):
+        """A failed write leaves no DRAM record behind: neither a stale
+        record on a freed page (its next owner's content would be served
+        for a later duplicate) nor a reference count it added."""
+        fs = make_fs(AdaptiveInlineFS, pages=128, max_inodes=16)
+        a = fs.create("/a")
+        fs.write(a, 0, page_of(1))
+        b = fs.create("/b")
+        fs.write(b, 0, page_of(1))  # shared: rfc 2
+        rng = np.random.default_rng(0)
+        x = rng.integers(0, 256, PAGE_SIZE, dtype=np.uint8).tobytes()
+        rand = rng.integers(0, 256, 500 * PAGE_SIZE, dtype=np.uint8)
+
+        def table():
+            return ({blk: (r.weak, r.strong, r.rfc)
+                     for blk, r in fs._by_block.items()},
+                    {w: [r.block for r in recs]
+                     for w, recs in fs._weak_index.items()})
+
+        before = table()
+        with pytest.raises(NoSpace):
+            # x twice (an intra-write duplicate), then more than fits;
+            # page 0 of the file is a duplicate of the shared page.
+            fs.write(a, 0, page_of(1) + x + x + rand.tobytes())
+        assert table() == before
+        assert fs.read(a, 0, PAGE_SIZE) == page_of(1)
+
+        # Reuse every freed page with filler, then write x afresh: it
+        # must be stored, not deduplicated onto a recycled page.
+        filler = fs.create("/filler")
+        pg = 0
+        while fs.statfs()["free_pages"] > 8:
+            fs.write(filler, pg * PAGE_SIZE,
+                     rand[pg * PAGE_SIZE:(pg + 1) * PAGE_SIZE].tobytes()
+                     [::-1])
+            pg += 1
+        c = fs.create("/c")
+        fs.write(c, 0, x)
+        assert fs.read(c, 0, PAGE_SIZE) == x
+        fs.unlink("/b")
+        assert fs.read(a, 0, PAGE_SIZE) == page_of(1)
 
     def test_adaptive_cheaper_than_strong_on_unique_data(self):
         """Eq. 4 vs Eq. 2: with alpha=0 the adaptive variant only pays
