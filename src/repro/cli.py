@@ -51,8 +51,21 @@ def _image_fs_class(dev):
     return DeNovaFS
 
 
+class BadImage(Exception):
+    """An image file that is missing, unreadable or not a whole image."""
+
+
+def _load_image(image: str) -> PMDevice:
+    try:
+        return PMDevice.load_image(image, clock=SimClock())
+    except OSError as exc:
+        raise BadImage(f"{image}: {exc.strerror or exc}") from exc
+    except ValueError as exc:
+        raise BadImage(str(exc)) from exc
+
+
 def _open_fs(image: str, **mount_kw):
-    dev = PMDevice.load_image(image, clock=SimClock())
+    dev = _load_image(image)
     fs = _image_fs_class(dev).mount(dev, **mount_kw)
     # SLO alerts / invariant trips during this invocation dump the
     # flight recorder next to the image automatically.
@@ -542,7 +555,7 @@ def cmd_tenant(args) -> int:
 
 
 def cmd_crash(args) -> int:
-    dev = PMDevice.load_image(args.image, clock=SimClock())
+    dev = _load_image(args.image)
     fs = _image_fs_class(dev).mount(dev)
     # Leave some work in flight so the crash is interesting, then pull
     # the plug without unmounting.
@@ -938,16 +951,19 @@ def cmd_fuzz(args) -> int:
     """Differential crash-consistency fuzzing (no image file needed)."""
     from repro.fuzz import FuzzConfig, FuzzRunner, GenConfig
 
-    if args.backup:
-        from repro.fuzz import run_backup_case
+    if args.backup or args.repl:
+        # Two-image ingest sweeps: backup recv, or recv + relocate (recv
+        # staging cursors + relocation intent journals enter the crash
+        # window).  The differential campaign below hosts relocate/
+        # restore ops too, via repro.fuzz.repl_gen_config.
+        from repro.fuzz import run_backup_case, run_repl_case
 
+        run = run_backup_case if args.backup else run_repl_case
         cases = max(1, args.ops // max(1, args.seq_ops))
-        results = []
-        for i in range(cases):
-            cfg = FuzzConfig(seed=args.seed + i, seq_ops=args.seq_ops,
-                             budget=args.budget, pages=args.pages,
-                             alpha=args.alpha)
-            results.append(run_backup_case(cfg))
+        results = [run(FuzzConfig(seed=args.seed + i, seq_ops=args.seq_ops,
+                                  budget=args.budget, pages=args.pages,
+                                  alpha=args.alpha))
+                   for i in range(cases)]
         points = sum(r.crash_points for r in results)
         violations = [v for r in results for v in r.violations]
         if args.json:
@@ -960,41 +976,8 @@ def cmd_fuzz(args) -> int:
             }, indent=2))
         else:
             verdict = "CLEAN" if not violations else "FAILURES"
-            print(f"{verdict}: {cases} ingest sweeps, "
-                  f"{points} crash points checked, "
-                  f"{len(violations)} violations")
-            for v in violations:
-                print(f"  {v}")
-        return 0 if not violations else 1
-
-    if args.repl:
-        # Dedicated replication-pipeline sweep: recv staging cursors +
-        # relocation intent journals enter the crash window (the
-        # differential campaign below hosts relocate/restore ops too,
-        # via repro.fuzz.repl.repl_gen_config).
-        from repro.fuzz import run_repl_case
-
-        cases = max(1, args.ops // max(1, args.seq_ops))
-        results = []
-        for i in range(cases):
-            cfg = FuzzConfig(seed=args.seed + i, seq_ops=args.seq_ops,
-                             budget=args.budget, pages=args.pages,
-                             alpha=args.alpha)
-            results.append(run_repl_case(cfg))
-        points = sum(r.crash_points for r in results)
-        violations = [v for r in results for v in r.violations]
-        if args.json:
-            print(json.dumps({
-                "seed": args.seed,
-                "cases": cases,
-                "crash_points": points,
-                "records": sum(r.records for r in results),
-                "violations": [str(v) for v in violations],
-            }, indent=2))
-        else:
-            verdict = "CLEAN" if not violations else "FAILURES"
-            print(f"{verdict}: {cases} repl sweeps, "
-                  f"{points} crash points checked, "
+            print(f"{verdict}: {cases} {'ingest' if args.backup else 'repl'} "
+                  f"sweeps, {points} crash points checked, "
                   f"{len(violations)} violations")
             for v in violations:
                 print(f"  {v}")
@@ -1421,6 +1404,9 @@ def main(argv=None) -> int:
         # never a traceback.
         print(f"quota exceeded: {exc}", file=sys.stderr)
         return 1
+    except BadImage as exc:
+        print(f"cannot open image {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -103,15 +103,20 @@ def sweep_crash_points(
     max_points: Optional[int] = None,
     stride: int = 1,
     seed: int = 0,
+    total: Optional[int] = None,
 ) -> int:
     """Crash at every persistence event and verify recovery each time.
 
     ``check(dev, point, phase)`` must raise (e.g. ``AssertionError``) on
     any consistency violation; it receives the recovered device.
     ``stride`` subsamples points for long scenarios; ``max_points`` caps
-    the sweep.  Returns the number of crash points actually exercised.
+    the sweep.  ``total`` is the scenario's persist-event count when the
+    caller already has it from :func:`count_persist_events`; otherwise
+    the scenario runs once more to count.  Returns the number of crash
+    points actually exercised.
     """
-    total = count_persist_events(build)
+    if total is None:
+        total = count_persist_events(build)
     if max_points is not None:
         total = min(total, max_points)
     tested = 0

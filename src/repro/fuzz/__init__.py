@@ -1,6 +1,6 @@
 """Differential crash-consistency fuzzing for the DeNova stack.
 
-Four pieces, composable from tests and the ``repro fuzz`` CLI:
+Five pieces, composable from tests and the ``repro fuzz`` CLI:
 
 * :mod:`repro.fuzz.gen` — a seeded generator of op sequences (writes
   with a controlled duplicate ratio via :class:`~repro.workloads.datagen.
@@ -12,19 +12,18 @@ Four pieces, composable from tests and the ``repro fuzz`` CLI:
   on shared-page reference counts;
 * :mod:`repro.fuzz.diff` — the differential checker: clean-run
   byte-exact equivalence plus crash-point sweeps through
-  :func:`repro.failure.injector.sweep_crash_points`, asserting
+  :func:`~repro.fuzz.diff.sweep_case`, the one crash-sweep driver (one
+  persist-event count per case, stride from the budget), asserting
   :func:`repro.failure.invariants.check_fs_invariants` and
   prefix-equivalence against the model after every recovery;
+* :mod:`repro.fuzz.ingest` — the two-image pipelines on the same
+  driver: backup ``recv``, and ``recv`` + relocate + restore, checked
+  all-or-nothing against the model after every recovery;
 * :mod:`repro.fuzz.shrink` / :mod:`repro.fuzz.runner` — ddmin shrinking
   of failing sequences to minimal reproducers, and the campaign driver
   with obs metrics and a reproducer corpus.
 """
 
-from repro.fuzz.backup import (
-    BackupSweepResult,
-    backup_gen_config,
-    run_backup_case,
-)
 from repro.fuzz.diff import (
     CaseResult,
     FuzzConfig,
@@ -42,9 +41,10 @@ from repro.fuzz.gen import (
     model_after,
 )
 from repro.fuzz.model import ModelError, ModelFS
-from repro.fuzz.repl import (
-    ReplSweepResult,
+from repro.fuzz.ingest import (
+    backup_gen_config,
     repl_gen_config,
+    run_backup_case,
     run_repl_case,
 )
 from repro.fuzz.runner import CampaignResult, Failure, FuzzRunner
@@ -58,6 +58,6 @@ __all__ = [
     "apply_op", "run_case", "fs_namespace",
     "shrink", "shrink_case",
     "FuzzRunner", "CampaignResult", "Failure",
-    "BackupSweepResult", "backup_gen_config", "run_backup_case",
-    "ReplSweepResult", "repl_gen_config", "run_repl_case",
+    "backup_gen_config", "run_backup_case",
+    "repl_gen_config", "run_repl_case",
 ]

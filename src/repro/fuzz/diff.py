@@ -13,15 +13,15 @@ Resource exhaustion on the real side (``NoSpace``/``AllocError``/
 ``FactFull``) is not a divergence — the model has no space accounting —
 it deterministically *stops* the sequence early instead.
 
-Crash checking replays the sequence under
-:func:`repro.failure.injector.sweep_crash_points` in all four
-(phase, mode) combinations.  A progress cell stashed on the device
-records how many ops committed before the crash; the recovered state
-must then be *pointwise between* the model states M_k and M_{k+1}: each
-path's recovered descriptor equals its descriptor in one of the two
-adjacent model states, paths identical in both must survive, and
-`check_fs_invariants` plus dedupe-flag convergence must hold before and
-after a post-recovery drain.
+Crash checking replays the sequence under :func:`sweep_case`, the one
+crash-sweep driver (the ingest pipelines of :mod:`repro.fuzz.ingest`
+use it too), in all four (phase, mode) combinations.  A progress cell
+stashed on the device records how many ops committed before the crash;
+the recovered state must be *pointwise between* the model states M_k
+and M_{k+1}: each path's recovered descriptor equals its descriptor in
+one of the two adjacent model states, paths identical in both must
+survive, and `check_fs_invariants` plus dedupe-flag convergence must
+hold before and after a post-recovery drain.
 """
 
 from __future__ import annotations
@@ -48,7 +48,8 @@ from repro.workloads.trace import TraceOp, apply_trace_op
 
 __all__ = ["FuzzConfig", "Violation", "CaseResult", "OracleDivergence",
            "apply_op", "run_case", "fs_namespace", "flags_converged",
-           "full_equivalence_check", "prefix_equivalence_check", "make_fs"]
+           "full_equivalence_check", "prefix_equivalence_check", "make_fs",
+           "sweep_case"]
 
 _RESOURCE_ERRORS = (NoSpace, AllocError, FactFull)
 
@@ -115,6 +116,7 @@ class CaseResult:
     ops_applied: int = 0
     ops_skipped: int = 0
     crash_points: int = 0
+    records: int = 0             # ingest cases: stream records sent
 
     @property
     def ok(self) -> bool:
@@ -483,7 +485,6 @@ def run_case(ops: list[TraceOp], cfg: Optional[FuzzConfig] = None,
         return case_fs.dev, scenario
 
     def check(dev, point, phase):
-        result.crash_points += 1
         k = dev._fuzz_state["progress"]
         rec = _fs_cls(cfg).mount(dev, cpus=cfg.cpus)
         check_fs_invariants(rec)
@@ -495,19 +496,36 @@ def run_case(ops: list[TraceOp], cfg: Optional[FuzzConfig] = None,
             raise InvariantViolation(
                 "in_process entries survive recovery + drain")
 
-    combos = [(p, m) for m in cfg.modes for p in cfg.phases]
-    if combos and cfg.budget > 0:
-        total = count_persist_events(build)
-        per_combo = max(1, cfg.budget // len(combos))
-        stride = max(1, total // per_combo)
-        for mode in cfg.modes:
-            try:
-                sweep_crash_points(
-                    build, check, phases=cfg.phases, mode=mode,
-                    stride=stride, seed=cfg.seed)
-            except AssertionError as exc:
-                result.violations.append(Violation(
-                    kind="invariant", detail=str(exc), stage="sweep",
-                    mode=mode,
-                    flight=getattr(exc, "flight_dump", None)))
+    sweep_case(cfg, build, check, result)
     return result
+
+
+def sweep_case(cfg: FuzzConfig, build, check, result: CaseResult) -> None:
+    """Crash-sweep one case's scenario in every (phase, mode) of ``cfg``.
+
+    ``build()`` returns ``(dev, scenario)`` on a fresh filesystem;
+    ``check(dev, point, phase)`` mounts the crashed device and raises
+    on any violation.  The scenario's persist events are counted once
+    and the stride is ``total // (budget // combos)``, so ``cfg.budget``
+    is split evenly over the combos.  A point counts in
+    ``result.crash_points`` when its check starts; a failing check ends
+    that mode's sweep with one :class:`Violation`.
+    """
+    combos = len(cfg.phases) * len(cfg.modes)
+    if not combos or cfg.budget <= 0:
+        return
+    total = count_persist_events(build)
+    stride = max(1, total // max(1, cfg.budget // combos))
+
+    def counted(dev, point, phase):
+        result.crash_points += 1
+        check(dev, point, phase)
+
+    for mode in cfg.modes:
+        try:
+            sweep_crash_points(build, counted, phases=cfg.phases, mode=mode,
+                               stride=stride, seed=cfg.seed, total=total)
+        except AssertionError as exc:
+            result.violations.append(Violation(
+                kind="invariant", detail=str(exc), stage="sweep",
+                mode=mode, flight=getattr(exc, "flight_dump", None)))

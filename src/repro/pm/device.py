@@ -330,7 +330,12 @@ class PMDevice:
     @classmethod
     def load_image(cls, path, clock: Optional[SimClock] = None,
                    track_wear: bool = False) -> "PMDevice":
-        """Reopen a device image saved with :meth:`save_image`."""
+        """Reopen a device image saved with :meth:`save_image`.
+
+        Raises ``OSError`` when the file cannot be read and
+        ``ValueError`` when it is not a whole device image.
+        """
+        import os
         import struct as _struct
 
         from repro.pm.latency import PROFILES
@@ -338,18 +343,20 @@ class PMDevice:
         with open(path, "rb") as fh:
             if fh.read(8) != cls._IMAGE_MAGIC:
                 raise ValueError(f"{path}: not a PM device image")
-            size, name_len = _struct.unpack("<QB", fh.read(9))
-            model_name = fh.read(name_len).decode()
+            header = fh.read(9)
+            if len(header) != 9:
+                raise ValueError(f"{path}: truncated image")
+            size, name_len = _struct.unpack("<QB", header)
+            model_name = fh.read(name_len).decode(errors="replace")
             model = PROFILES.get(model_name)
             if model is None:
                 raise ValueError(f"{path}: unknown device model "
                                  f"{model_name!r}")
+            if os.fstat(fh.fileno()).st_size - fh.tell() < size:
+                raise ValueError(f"{path}: truncated image")
             dev = cls(size, model=model, clock=clock,
                       track_wear=track_wear)
-            data = np.fromfile(fh, dtype=np.uint8, count=size)
-        if data.size != size:
-            raise ValueError(f"{path}: truncated image")
-        dev._mem[:] = data
+            dev._mem[:] = np.fromfile(fh, dtype=np.uint8, count=size)
         return dev
 
     def wear_max(self) -> int:

@@ -129,6 +129,43 @@ class TestModelCommand:
         assert "T_w" in out and "T_f" in out
 
 
+BAD_IMAGES = {
+    "missing": None,
+    "empty": lambda good: b"",
+    "garbage": lambda good: bytes(range(256)) * 20,
+    "truncated": lambda good: good[:100000],
+}
+
+BAD_IMAGE_REASONS = {
+    "missing": "No such file or directory",
+    "empty": "not a PM device image",
+    "garbage": "not a PM device image",
+    "truncated": "truncated image",
+}
+
+
+class TestBadImage:
+    @pytest.mark.parametrize("command", ["fsck", "stats", "ls"])
+    @pytest.mark.parametrize("kind", sorted(BAD_IMAGES))
+    def test_one_stderr_line_and_exit_2(self, image, tmp_path, capsys,
+                                        kind, command):
+        bad = tmp_path / f"{kind}.img"
+        if BAD_IMAGES[kind] is not None:
+            with open(image, "rb") as fh:
+                bad.write_bytes(BAD_IMAGES[kind](fh.read()))
+        assert main([command, str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert str(bad) in err and BAD_IMAGE_REASONS[kind] in err
+
+    def test_short_header_is_truncated_not_struct_error(self, image):
+        with open(image, "rb") as fh:
+            head = fh.read(12)
+        open(image, "wb").write(head)
+        with pytest.raises(ValueError, match="truncated"):
+            PMDevice.load_image(image)
+
+
 class TestImageFormat:
     def test_load_bad_magic(self, tmp_path):
         bad = tmp_path / "bad.img"

@@ -117,3 +117,44 @@ def test_recovery_mount_works_at_every_point():
 
     tested = sweep_crash_points(build, check, stride=5)
     assert tested > 0
+
+
+def test_sweep_with_given_total_does_not_recount():
+    total = count_persist_events(build)
+    builds = [0]
+
+    def counting_build():
+        builds[0] += 1
+        return build()
+
+    tested = sweep_crash_points(counting_build, lambda *a: None,
+                                phases=("pre",), stride=7, total=total)
+    assert tested == builds[0] == len(range(1, total + 1, 7))
+
+
+def test_driver_case_counts_persist_events_once(monkeypatch):
+    """One differential case builds the filesystem once for the clean
+    pass, once to count persist events, then once per replayed crash
+    point: the count is shared by every (phase, mode)."""
+    import repro.failure.injector as injector
+    import repro.fuzz.diff as fuzz_diff
+    from repro.fuzz import FuzzConfig, generate_sequence, run_case
+
+    builds, replays = [0], [0]
+    make_fs, run = fuzz_diff.make_fs, injector.run_with_crash
+
+    def counting_make_fs(cfg):
+        builds[0] += 1
+        return make_fs(cfg)
+
+    def counting_run(*args, **kwargs):
+        replays[0] += 1
+        return run(*args, **kwargs)
+
+    monkeypatch.setattr(fuzz_diff, "make_fs", counting_make_fs)
+    monkeypatch.setattr(injector, "run_with_crash", counting_run)
+    cfg = FuzzConfig(seed=1, seq_ops=12, budget=8)
+    res = run_case(generate_sequence(1, 0, 12), cfg)
+    assert res.ok, res.violations
+    assert replays[0] == res.crash_points == 8
+    assert builds[0] == 1 + 1 + replays[0]

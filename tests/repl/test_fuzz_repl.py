@@ -3,9 +3,8 @@ plus the dedicated recv-cursor + relocation-journal crash sweep."""
 
 import pytest
 
-from repro.fuzz import FuzzConfig, run_case, run_repl_case
+from repro.fuzz import FuzzConfig, repl_gen_config, run_case, run_repl_case
 from repro.fuzz.gen import generate_sequence
-from repro.fuzz.repl import repl_gen_config
 
 pytestmark = pytest.mark.repl
 
@@ -47,4 +46,4 @@ class TestReplSweep:
                                        pages=4096))
         assert res.ok, res.violations
         assert res.crash_points > 0
-        assert res.snapshots == ("fz1", "fz2")
+        assert res.records > 0

@@ -95,5 +95,5 @@ class TestRelocationCrashSweep:
         total = count_persist_events(build)
         stride = max(1, total // 10)  # ~10 points per phase
         sweep_crash_points(build, check, phases=("pre", "post"),
-                           mode="discard", stride=stride)
+                           mode="discard", stride=stride, total=total)
         assert tested[0] > 0
